@@ -187,10 +187,11 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 		logf("%v: draining (hard deadline %v)", sig, drain)
 		derr := srv.Shutdown(drain)
 		st := srv.StatsSnapshot()
-		logf("drained: accepted=%d ok=%d shed=%d (rate=%d queue=%d breaker=%d drain=%d) panics=%d timeouts=%d retries=%d abandoned=%d breaker_opens=%d",
+		logf("drained: accepted=%d ok=%d shed=%d (rate=%d queue=%d breaker=%d drain=%d) panics=%d timeouts=%d retries=%d abandoned=%d breaker_opens=%d verify_failed=%d snapshot_builds=%d snapshot_hits=%d",
 			st.Accepted, st.OK, st.ShedRate+st.ShedQueue+st.BreakerShed+st.DrainShed,
 			st.ShedRate, st.ShedQueue, st.BreakerShed, st.DrainShed,
-			st.Panics, st.Timeouts, st.Retries, st.Abandoned, st.BreakerOpens)
+			st.Panics, st.Timeouts, st.Retries, st.Abandoned, st.BreakerOpens,
+			st.VerifyFailed, st.SnapshotBuilds, st.SnapshotHits)
 		return derr
 	case err := <-errCh:
 		return err

@@ -319,6 +319,7 @@ func driveClient(cfg driveConfig, graphs []serve.GraphInfo, mix []mixEntry, idx 
 			Kernel:       req.Kernel,
 			Graph:        req.Graph,
 			Client:       idx,
+			Cached:       resp.Cached,
 		})
 	}
 	return clientResult{records: records}

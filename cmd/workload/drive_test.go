@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -128,7 +129,7 @@ func TestDriveEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var n int
+	var n, cached int
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		var rec report.QueryRecord
@@ -143,6 +144,9 @@ func TestDriveEndToEnd(t *testing.T) {
 		default:
 			t.Errorf("record %d: kernel %q outside the mix", n, rec.Kernel)
 		}
+		if rec.Cached {
+			cached++
+		}
 		n++
 	}
 	if n == 0 {
@@ -151,6 +155,14 @@ func TestDriveEndToEnd(t *testing.T) {
 	st := srv.StatsSnapshot()
 	if st.OK != int64(n) {
 		t.Errorf("daemon served %d OK, driver recorded %d", st.OK, n)
+	}
+	// PR and CC are answered from snapshots after their first run; the
+	// workload's cached count matches the daemon's hit counter.
+	if cached == 0 || st.SnapshotHits != int64(cached) {
+		t.Errorf("workload recorded %d cached answers, daemon counted %d hits", cached, st.SnapshotHits)
+	}
+	if want := fmt.Sprintf("cached %d ", cached); !strings.Contains(out.String(), want) {
+		t.Errorf("workload summary missing %q:\n%s", want, out.String())
 	}
 
 	// Poisson mode: a modest offered rate yields roughly rate*duration

@@ -349,15 +349,23 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 }
 
 // walkGoDirs calls add for every directory under root that contains .go
-// files, skipping testdata, vendor, and hidden directories.
+// files, skipping testdata, vendor, hidden and _-prefixed directories, and
+// nested modules (a directory below root with its own go.mod belongs to
+// another module, as it does for the go tool's ./... pattern).
 func walkGoDirs(root string, add func(string)) error {
 	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -27,6 +27,9 @@ type QueryRecord struct {
 	Graph  string `json:"graph,omitempty"`
 	// Client is the driver's client index, for per-connection forensics.
 	Client int `json:"client"`
+	// Cached marks an answer the daemon read from a verified PR/CC
+	// snapshot instead of running the kernel.
+	Cached bool `json:"cached,omitempty"`
 }
 
 // shedCode mirrors serve.Code.Shed without importing the serving package:
@@ -41,6 +44,7 @@ type LatencySummary struct {
 	OK     int
 	Shed   int // admission/quarantine/drain refusals
 	Failed int // everything else: deadline, panic, bad request
+	Cached int // OK answers served from a snapshot (no kernel run)
 
 	WallSeconds float64
 	// QPS is completed-OK throughput; OfferedQPS counts every query sent.
@@ -68,6 +72,9 @@ func Summarize(records []QueryRecord, wall time.Duration) LatencySummary {
 		switch {
 		case r.Code == "OK":
 			s.OK++
+			if r.Cached {
+				s.Cached++
+			}
 			okLat = append(okLat, r.Micros)
 			sum += r.Micros
 		case shedCode(r.Code):
@@ -113,8 +120,8 @@ func quantileMicros(sorted []int64, q float64) int64 {
 // String renders the summary as the driver's human-readable report.
 func (s LatencySummary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "queries %d (ok %d, shed %d, failed %d)  wall %.2fs\n",
-		s.Count, s.OK, s.Shed, s.Failed, s.WallSeconds)
+	fmt.Fprintf(&b, "queries %d (ok %d, shed %d, failed %d)  cached %d  wall %.2fs\n",
+		s.Count, s.OK, s.Shed, s.Failed, s.Cached, s.WallSeconds)
 	fmt.Fprintf(&b, "throughput %.1f qps ok (%.1f offered)  shed rate %.2f%%\n",
 		s.QPS, s.OfferedQPS, 100*s.ShedRate)
 	fmt.Fprintf(&b, "latency us: p50 %d  p90 %d  p99 %d  p999 %d  max %d  mean %d\n",

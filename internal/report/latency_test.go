@@ -63,10 +63,11 @@ func TestSummaryRendering(t *testing.T) {
 		{Micros: 100, Code: "OK", Kernel: "BFS"},
 		{Micros: 10, Code: "RESOURCE_EXHAUSTED", Kernel: "BFS"},
 		{Micros: 220, Code: "OK", Kernel: "PR"},
+		{Micros: 30, Code: "OK", Kernel: "PR", Cached: true},
 	}
 	s := Summarize(recs, time.Second)
 	out := s.String()
-	for _, want := range []string{"queries 3", "ok 2", "shed 1", "qps"} {
+	for _, want := range []string{"queries 4", "ok 3", "shed 1", "failed 0)", "cached 1", "qps"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary %q missing %q", out, want)
 		}

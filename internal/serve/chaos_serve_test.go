@@ -7,6 +7,7 @@ package serve
 // here skips (same convention as internal/core's chaos e2e).
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -205,6 +206,112 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 	// guard refuses to serve poisoned data), which is the correct behavior.
 	if r := c.do(Request{Kernel: "BFS", Source: 1}); r.Code != CodeInternal {
 		t.Fatalf("BFS on corrupted graph: %+v, want INTERNAL (seal still broken)", r)
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestChaosServeCorruptOutputNeverCached: a corrupted PR or CC output must
+// fail verification (INTERNAL, verify_failed) instead of being served as OK
+// or published; once the fault is spent the next query reruns clean and
+// publishes, and every later hit serves that clean answer. On smallInput
+// the injector's CC victim (seed 1) is vertex 42, which has neighbours, so
+// relabelling it splits a component and CheckCC sees the change.
+func TestChaosServeCorruptOutputNeverCached(t *testing.T) {
+	requireChaos(t)
+	for _, req := range []Request{{Kernel: "PR", K: 10}, {Kernel: "CC", Vertex: 42}} {
+		t.Run(req.Kernel, func(t *testing.T) {
+			in := smallInput(t)
+			srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
+				&chaos.Fault{Kernel: req.Kernel, Mode: chaos.Corrupt})
+			c := dial(t, sock)
+			for i := 1; i <= 2; i++ {
+				resp := c.do(req)
+				if resp.Code != CodeInternal || resp.Cached || !strings.Contains(resp.Error, "verification") {
+					t.Fatalf("corrupt %s query %d: %+v", req.Kernel, i, resp)
+				}
+				// Each query reran the kernel: nothing was cached.
+				if st := srv.StatsSnapshot(); st.VerifyFailed != int64(i) || st.SnapshotBuilds != 0 || st.OK != 0 {
+					t.Fatalf("stats after corrupt query %d: %+v", i, st)
+				}
+			}
+			if err := srv.Shutdown(5 * time.Second); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+		})
+	}
+}
+
+func TestChaosServeCorruptOnceRerunsCleanThenHits(t *testing.T) {
+	requireChaos(t)
+	for _, req := range []Request{{Kernel: "PR", K: 10}, {Kernel: "CC", Vertex: 42}} {
+		t.Run(req.Kernel, func(t *testing.T) {
+			in := smallInput(t)
+			srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
+				&chaos.Fault{Kernel: req.Kernel, Mode: chaos.Corrupt, Once: true})
+			c := dial(t, sock)
+
+			if resp := c.do(req); resp.Code != CodeInternal || resp.Result != nil {
+				t.Fatalf("corrupted %s query: %+v", req.Kernel, resp)
+			}
+			if st := srv.StatsSnapshot(); st.VerifyFailed != 1 {
+				t.Fatalf("verify_failed = %d, want 1", st.VerifyFailed)
+			}
+			clean := c.do(req)
+			if clean.Code != CodeOK || clean.Cached || clean.Result == nil {
+				t.Fatalf("rerun after the spent fault: %+v", clean)
+			}
+			for i := 0; i < 5; i++ {
+				hit := c.do(req)
+				if hit.Code != CodeOK || !hit.Cached {
+					t.Fatalf("hit %d: %+v", i, hit)
+				}
+				if !reflect.DeepEqual(hit.Result, clean.Result) {
+					t.Fatalf("hit %d served %+v, the verified run answered %+v", i, hit.Result, clean.Result)
+				}
+			}
+			st := srv.StatsSnapshot()
+			if st.VerifyFailed != 1 || st.SnapshotBuilds != 1 || st.SnapshotHits != 5 || st.OK != 6 {
+				t.Errorf("stats: %+v", st)
+			}
+			if err := srv.Shutdown(5 * time.Second); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+		})
+	}
+}
+
+func TestChaosServeSnapshotHitChecksSeal(t *testing.T) {
+	requireChaos(t)
+	if !graph.GuardEnabled() {
+		t.Skip("needs -tags=chaos,graphguard (seal checks are no-ops otherwise)")
+	}
+	// Dedicated input: the injected corruption permanently poisons the
+	// shared CSR, so this graph must not be reused by other tests.
+	in, err := core.LoadInput(core.GraphSpec{Name: "Urand", Scale: 6, Seed: 3, Delta: 16, SourceSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = in.Close() })
+	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
+		&chaos.Fault{Kernel: "CC", Mode: chaos.CorruptGraph, Once: true})
+	c := dial(t, sock)
+
+	if r := c.do(Request{Kernel: "PR"}); r.Code != CodeOK || r.Cached {
+		t.Fatalf("warming PR: %+v", r)
+	}
+	if r := c.do(Request{Kernel: "CC", Vertex: 1}); r.Code != CodeInternal || !strings.Contains(r.Error, "graphguard") {
+		t.Fatalf("corrupt-graph CC: %+v", r)
+	}
+	// The PR snapshot predates the corruption, but the graph it answers for
+	// is poisoned now: the hit refuses, as a kernel run would.
+	r := c.do(Request{Kernel: "PR"})
+	if r.Code != CodeInternal || !strings.Contains(r.Error, "graphguard") || !strings.Contains(r.Error, "cached answer") {
+		t.Fatalf("PR hit on a corrupted graph: %+v", r)
+	}
+	if st := srv.StatsSnapshot(); st.SnapshotHits != 0 || st.SnapshotBuilds != 1 {
+		t.Errorf("stats: %+v", st)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -110,11 +110,14 @@ type Response struct {
 
 	// Micros is the end-to-end service time in microseconds: admission to
 	// response, queue wait and retries included. KernelMicros is the final
-	// attempt's kernel execution alone.
+	// attempt's kernel execution alone; it is 0 (absent) on a cached answer.
 	Micros       int64 `json:"micros,omitempty"`
 	KernelMicros int64 `json:"kernel_micros,omitempty"`
 	// Retries counts extra attempts spent on transient faults.
 	Retries int `json:"retries,omitempty"`
+	// Cached marks a PR or CC answer read from the graph epoch's verified
+	// snapshot instead of a kernel run.
+	Cached bool `json:"cached,omitempty"`
 
 	// Result carries the kernel-specific payload for OK query responses.
 	Result *QueryResult `json:"result,omitempty"`
@@ -175,6 +178,12 @@ type Stats struct {
 	Abandoned int64 `json:"abandoned"`
 	// BreakerOpens counts circuit-breaker open transitions.
 	BreakerOpens int64 `json:"breaker_opens"`
+	// VerifyFailed counts PR/CC kernel outputs the verify oracle rejected
+	// (answered INTERNAL, never cached). SnapshotBuilds counts snapshots
+	// published; SnapshotHits the queries answered from one.
+	VerifyFailed   int64 `json:"verify_failed"`
+	SnapshotBuilds int64 `json:"snapshot_builds"`
+	SnapshotHits   int64 `json:"snapshot_hits"`
 	// Inflight is the number of admitted, unfinished queries right now;
 	// OutstandingLeases the machine leases currently held.
 	Inflight          int64 `json:"inflight"`

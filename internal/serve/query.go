@@ -1,11 +1,13 @@
 package serve
 
 // query.go executes one admitted query: validate, thread the deadline budget
-// into a chained cancel token, lease a machine, run the kernel sandboxed
-// (panic recovery, graphguard seal checks, grace-bounded abandonment), retry
-// transient failures with backoff, and report the outcome in the Status
-// taxonomy — to the client as a Code, to the breaker as a health event, and
-// (optionally) to the suite journal as a core.Result.
+// into a chained cancel token, answer PR and CC from their per-epoch
+// snapshot when one is published (snapshot.go), otherwise lease a machine,
+// run the kernel sandboxed (panic recovery, graphguard seal checks,
+// grace-bounded abandonment), retry transient failures with backoff, and
+// report the outcome in the Status taxonomy — to the client as a Code, to
+// the breaker as a health event, and (optionally) to the suite journal as a
+// core.Result.
 
 import (
 	"fmt"
@@ -96,8 +98,8 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		if p.topk <= 0 {
 			p.topk = 10
 		}
-		if p.topk > 100 {
-			p.topk = 100
+		if p.topk > maxTopK {
+			p.topk = maxTopK
 		}
 		if int64(p.topk) > n {
 			p.topk = int(n)
@@ -166,7 +168,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 	s.c.accepted.Add(1)
 	defer s.c.completed.Add(1)
 
-	resp := s.execute(p, connTok, probe)
+	resp := s.answer(p, connTok, probe)
 	resp.ID = req.ID
 	resp.Kernel = string(p.k)
 	resp.Graph = p.in.Spec.Name
@@ -183,11 +185,62 @@ type attemptOut struct {
 	err     string
 	stack   string
 	result  *QueryResult
+	// build verifies a PR/CC run's full output and makes its snapshot; it
+	// runs after the attempt, outside the budget (see verifyBuild).
+	build func() (*snapshot, error)
+	snap  *snapshot // the verified whole-graph answers, to publish
 }
 
-// execute runs the retry loop under the query's deadline budget. probe marks
-// the query as the breaker's half-open probe — its outcome decides whether
-// the circuit closes.
+// answer runs an admitted query. PR and CC are answered from their snapshot
+// when one is published; a miss runs the full kernel path. probe marks the
+// query as the breaker's half-open probe — its outcome decides whether the
+// circuit closes, so it never takes a hit: only a real kernel success may
+// close a circuit.
+func (s *Server) answer(p *queryPlan, connTok *par.CancelToken, probe bool) Response {
+	if !probe && (p.k == core.PR || p.k == core.CC) {
+		if sn := s.snaps.get(p.snapKey()); sn != nil {
+			return s.hit(p, sn)
+		}
+	}
+	return s.execute(p, connTok, probe)
+}
+
+// hit answers a query from a published snapshot: no lease, no kernel, and
+// kernel_micros 0. The graph seals are re-checked first (a no-op unless
+// built with graphguard), so a corrupted CSR answers INTERNAL on a hit just
+// as a kernel run would; under servecheck the snapshot's checksum is too.
+func (s *Server) hit(p *queryPlan, sn *snapshot) Response {
+	res, errMsg := serveHit(p, sn)
+	if errMsg != "" {
+		s.journalQuery(p, []core.TrialRecord{{Status: core.Panicked, Err: errMsg}}, core.Panicked, 0, errMsg)
+		s.c.panics.Add(1)
+		return Response{Code: CodeInternal, Error: errMsg}
+	}
+	// No trial record: the journal line keeps Seconds -1, the no-timing
+	// marker, so a hit never reads as a 0-second kernel run.
+	s.journalQuery(p, nil, core.OK, 0, "")
+	s.c.ok.Add(1)
+	s.c.snapshotHits.Add(1)
+	return Response{Code: CodeOK, Result: res, Cached: true}
+}
+
+// serveHit runs the hit's checks and reduction, recording a panic from any
+// of them as the query's error.
+func serveHit(p *queryPlan, sn *snapshot) (res *QueryResult, errMsg string) {
+	defer func() {
+		if pv := recover(); pv != nil {
+			res = nil
+			errMsg = fmt.Sprintf("%s %s on %s: cached answer: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
+		}
+	}()
+	p.in.Graph.MustCheckSeal()
+	p.in.Undirected.MustCheckSeal()
+	snapshotCheck(sn)
+	return sn.answer(p), ""
+}
+
+// execute runs the retry loop under the query's deadline budget, publishing
+// the snapshot a successful PR or CC run built.
 func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Response {
 	// The budget token is the composition satellite in action: the machine
 	// polls ONE token that fires on either the per-query deadline or the
@@ -221,6 +274,9 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 				Error:   fmt.Sprintf("budget (%v) exhausted waiting for a machine lease", p.budget),
 				Retries: retries}
 		}
+		if out.build != nil {
+			verifyBuild(p, &out)
+		}
 		records = append(records, core.TrialRecord{
 			Trial: 0, Attempt: attempt,
 			Status: out.status, Seconds: out.seconds,
@@ -252,12 +308,19 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 	s.journalQuery(p, records, out.status, retries, out.err)
 	switch out.status {
 	case core.OK:
+		if out.snap != nil {
+			s.snaps.publish(p.snapKey(), out.snap)
+			s.c.snapshotBuilds.Add(1)
+		}
 		s.c.ok.Add(1)
 		return Response{Code: CodeOK, Retries: retries, Result: out.result,
 			KernelMicros: int64(out.seconds * 1e6)}
 	case core.TimedOut:
 		s.c.timeouts.Add(1)
 		return Response{Code: CodeDeadlineExceeded, Error: out.err, Retries: retries}
+	case core.VerifyFailed:
+		s.c.verifyFailed.Add(1)
+		return Response{Code: CodeInternal, Error: out.err, Retries: retries}
 	default: // Panicked
 		s.c.panics.Add(1)
 		return Response{Code: CodeInternal, Error: out.err, Retries: retries}
@@ -306,12 +369,12 @@ func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time)
 				out.status = core.Panicked
 				out.err = fmt.Sprintf("%s %s on %s: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
 				out.stack = trimStack(debug.Stack())
-				out.result = nil
+				out.result, out.build = nil, nil
 			}
 			done <- out
 		}()
 		start := time.Now()
-		out.result = runKernel(p, g, opt)
+		out.result, out.build = runKernel(p, g, opt)
 		out.seconds = time.Since(start).Seconds()
 		// graphguard (armed under -tags=graphguard): the shared CSRs must
 		// survive every query byte-identical — one corrupting kernel must not
@@ -322,7 +385,7 @@ func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time)
 		if tok.Cancelled() {
 			out.status = core.TimedOut
 			out.err = fmt.Sprintf("%s %s on %s: deadline budget (%v) exceeded", p.fwName, p.k, p.in.Spec.Name, p.budget)
-			out.result = nil
+			out.result, out.build = nil, nil
 		}
 	}()
 
@@ -357,6 +420,34 @@ func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time)
 	}
 }
 
+// verifyBuild runs a successful PR/CC attempt's build: verify the full
+// output, make the snapshot, and read this query's answer from it. A
+// rejected output becomes VerifyFailed, so a wrong answer is never cached
+// and the query answers INTERNAL. It runs after the attempt has returned its
+// lease and outside the deadline budget and abandonment grace: the check is
+// paid once per snapshot key, and a budget sized for the kernel must not
+// time out the run that would publish. A panic (reducing garbage output)
+// is the kernel's fault and is recorded like one inside the sandbox.
+func verifyBuild(p *queryPlan, out *attemptOut) {
+	build := out.build
+	out.build = nil
+	defer func() {
+		if pv := recover(); pv != nil {
+			out.status = core.Panicked
+			out.err = fmt.Sprintf("%s %s on %s: verifying output: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
+			out.stack = trimStack(debug.Stack())
+			out.result, out.snap = nil, nil
+		}
+	}()
+	sn, err := build()
+	if err != nil {
+		out.status = core.VerifyFailed
+		out.err = fmt.Sprintf("%s %s on %s: output failed verification: %v", p.fwName, p.k, p.in.Spec.Name, err)
+		return
+	}
+	out.snap, out.result = sn, sn.answer(p)
+}
+
 // trimStack keeps the frames that identify a panic and drops scheduler noise
 // (same convention as the suite runner's trial records).
 func trimStack(stack []byte) string {
@@ -368,12 +459,14 @@ func trimStack(stack []byte) string {
 	return strings.Join(lines, "\n")
 }
 
-// runKernel dispatches the planned kernel and reduces its full output to the
-// query's answer. The reduction runs inside the sandbox on purpose: reducing
-// garbage output (a corrupted kernel result) may panic, and that is the
-// kernel's fault to report, not the daemon's to crash on. g is passed in
-// (not read off p.in) so the sandbox holds no Input-field reads.
-func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
+// runKernel dispatches the planned kernel. BFS and SSSP reduce their full
+// output to the query's answer here, inside the sandbox on purpose:
+// reducing garbage output (a corrupted kernel result) may panic, and that
+// is the kernel's fault to report, not the daemon's to crash on. PR and CC
+// return a build, which verifyBuild runs after the attempt under its own
+// recover. g is passed in (not read off p.in) so the sandbox holds no
+// Input-field reads.
+func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) (*QueryResult, func() (*snapshot, error)) {
 	switch p.k {
 	case core.BFS:
 		parent := p.f.BFS(g, p.src, opt)
@@ -383,7 +476,7 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
 				res.Reached++
 			}
 		}
-		return res
+		return res, nil
 	case core.SSSP:
 		dist := p.f.SSSP(g, p.src, opt)
 		res := &QueryResult{}
@@ -399,26 +492,21 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
 			}
 			res.Dist = &d
 		}
-		return res
+		return res, nil
 	case core.PR:
 		ranks := p.f.PR(g, opt)
-		return &QueryResult{TopK: topK(ranks, p.topk)}
+		return nil, func() (*snapshot, error) { return newPRSnapshot(g, ranks) }
 	default: // core.CC — plan admits nothing else
 		labels := p.f.CC(g, opt)
-		res := &QueryResult{Component: int64(labels[p.vertex])}
-		want := labels[p.vertex]
-		for _, l := range labels {
-			if l == want {
-				res.Size++
-			}
-		}
-		return res
+		return nil, func() (*snapshot, error) { return newCCSnapshot(g, labels) }
 	}
 }
 
-// topK selects the k highest-scoring vertices by insertion into a small
-// sorted window — O(n·k) worst case but k ≤ 100 and most vertices fail the
-// threshold test in O(1), so no full n-element sort is paid per query.
+// topK selects the k highest-scoring vertices, score descending then vertex
+// ascending (a tie never displaces an earlier vertex), so topK(s, k) is
+// topK(s, maxTopK)[:k] for every k ≤ maxTopK. Insertion into a small sorted
+// window is O(n·k) worst case, but k ≤ maxTopK and most vertices fail the
+// threshold test in O(1), so no full n-element sort is paid.
 func topK(scores []float64, k int) []RankEntry {
 	if k > len(scores) {
 		k = len(scores)

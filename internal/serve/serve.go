@@ -15,6 +15,8 @@ package serve
 //     reusing the core.Status taxonomy;
 //   - a circuit breaker (breaker.go) quarantines a (framework, kernel) pair
 //     that keeps losing machines, until a probe succeeds;
+//   - PR and CC, whose answers depend only on the graph epoch, are computed
+//     once per epoch, verified, and served from a snapshot (snapshot.go);
 //   - the machine-lease pool (pool.go) self-heals: an abandoned machine is
 //     replaced immediately and reaped in the background;
 //   - SIGTERM drains gracefully under a hard deadline, and the drain proves
@@ -111,6 +113,7 @@ type counters struct {
 	accepted, completed, ok                     atomic.Int64
 	shedRate, shedQueue, breakerShed, drainShed atomic.Int64
 	panics, timeouts, retries                   atomic.Int64
+	verifyFailed, snapshotBuilds, snapshotHits  atomic.Int64
 }
 
 // Server is the daemon core. Build with NewServer, feed it listeners via
@@ -120,6 +123,7 @@ type Server struct {
 	pool     *Pool
 	adm      *admission
 	breakers *breakerSet
+	snaps    *snapshotStore
 
 	graphs     map[string]*core.Input
 	graphOrder []string
@@ -153,6 +157,7 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 		cfg:        cfg,
 		pool:       NewPool(cfg.poolSize(), cfg.workers()),
 		breakers:   newBreakerSet(cfg.Breaker),
+		snaps:      newSnapshotStore(),
 		graphs:     make(map[string]*core.Input, len(inputs)),
 		frameworks: make(map[string]kernel.Framework, len(frameworks)),
 		defaultFW:  frameworks[0].Name(),
@@ -340,6 +345,9 @@ func (s *Server) StatsSnapshot() Stats {
 		Retries:           s.c.retries.Load(),
 		Abandoned:         s.pool.Abandoned(),
 		BreakerOpens:      s.breakers.Opens(),
+		VerifyFailed:      s.c.verifyFailed.Load(),
+		SnapshotBuilds:    s.c.snapshotBuilds.Load(),
+		SnapshotHits:      s.c.snapshotHits.Load(),
 		Inflight:          s.adm.Inflight(),
 		OutstandingLeases: s.pool.Outstanding(),
 	}

@@ -15,12 +15,16 @@ import (
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/testutil"
+	"gapbench/internal/verify"
 )
 
 // ---- stub frameworks -------------------------------------------------------
 // The serving fault paths are driven by stubs that misbehave in BFS only, so
 // a CC query against the same server proves the daemon keeps serving around
-// the fault (same idiom as internal/core's fault tests).
+// the fault (same idiom as internal/core's fault tests). The stubs' PR and CC
+// return the serial oracles' answers: the daemon verifies whole-graph output
+// before it publishes a snapshot, so a stub's well-behaved kernels must be
+// correct ones.
 
 type stubFramework struct{ name string }
 
@@ -37,10 +41,10 @@ func (stubFramework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) 
 	return make([]kernel.Dist, g.NumNodes())
 }
 func (stubFramework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	return make([]float64, g.NumNodes())
+	return verify.PageRank(g, kernel.PRMaxIters, kernel.PRTolerance)
 }
 func (stubFramework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
-	return make([]graph.NodeID, g.NumNodes())
+	return verify.Components(g)
 }
 func (stubFramework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
 	return make([]float64, g.NumNodes())
@@ -534,6 +538,11 @@ func TestServeJournalsQueryOutcomes(t *testing.T) {
 	if resp := c.do(Request{Kernel: "BFS", Source: 1, Framework: "Boom"}); resp.Code != CodeInternal {
 		t.Fatalf("panic query: %+v", resp)
 	}
+	for i, wantCached := range []bool{false, true} {
+		if resp := c.do(Request{Kernel: "PR"}); resp.Code != CodeOK || resp.Cached != wantCached {
+			t.Fatalf("PR query %d: %+v", i, resp)
+		}
+	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -542,8 +551,8 @@ func TestServeJournalsQueryOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("journal has %d lines, want 2", len(results))
+	if len(results) != 4 {
+		t.Fatalf("journal has %d lines, want 4", len(results))
 	}
 	okRes, boomRes := results[0], results[1]
 	if okRes.CellID() != "Stub|BFS|Kron|Baseline" {
@@ -564,6 +573,14 @@ func TestServeJournalsQueryOutcomes(t *testing.T) {
 	// The retry left two attempt records on the one journaled "trial".
 	if len(boomRes.TrialRecords) != 2 {
 		t.Errorf("panic TrialRecords = %d, want 2 (attempt + retry)", len(boomRes.TrialRecords))
+	}
+	// The PR build is a timed kernel run; the snapshot hit ran no kernel, so
+	// it carries the no-timing marker and no trial record.
+	if build := results[2]; build.Status != core.OK || !build.Verified || build.Seconds < 0 {
+		t.Errorf("PR build journal line: %+v", build)
+	}
+	if hit := results[3]; hit.Status != core.OK || !hit.Verified || hit.Seconds != -1 || len(hit.TrialRecords) != 0 {
+		t.Errorf("PR hit journal line: %+v", hit)
 	}
 }
 

@@ -54,7 +54,8 @@
 #      contract `-tune` exists for (see DESIGN.md "Schedule persistence").
 #  13. gapd serving smoke tier: start the daemon on a unix socket over the
 #      tier-11 graph files (servecheck armed), drive a mixed closed-loop
-#      burst with cmd/workload, and require zero non-OK non-shed responses;
+#      burst with cmd/workload, and require zero non-OK non-shed responses
+#      and at least one answer served from a PR/CC snapshot (`cached` > 0);
 #      then SIGTERM and require the drain to finish within its budget with
 #      no leaked lease (the servecheck assertion panics the exit otherwise).
 #  14. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
@@ -164,6 +165,14 @@ grep -q 'failed 0)' "$TDIR/drive.log" || {
     cat "$TDIR/drive.log" >&2
     exit 1
 }
+# The snapshot gate: the default mix is 40% PR/CC, whose answers are
+# computed once per graph epoch and then served cached — a burst with no
+# cached answer means the hit path is dead.
+grep -Eq 'cached [1-9][0-9]*' "$TDIR/drive.log" || {
+    echo "gapd smoke burst served no cached PR/CC answer:" >&2
+    cat "$TDIR/drive.log" >&2
+    exit 1
+}
 drain_start=$(date +%s)
 kill -TERM "$GAPD_PID"
 wait "$GAPD_PID" || { echo "gapd exited non-zero on SIGTERM drain:" >&2; cat "$TDIR/gapd.log" >&2; exit 1; }
@@ -172,7 +181,7 @@ if [ "$drain_elapsed" -gt 10 ]; then
     echo "gapd drain took ${drain_elapsed}s, budget is 10s" >&2
     exit 1
 fi
-echo "gapd smoke ok ($(grep -o 'queries [0-9]*' "$TDIR/drive.log" | head -1), drained in ${drain_elapsed}s)"
+echo "gapd smoke ok ($(grep -o 'queries [0-9]*' "$TDIR/drive.log" | head -1), $(grep -o 'cached [0-9]*' "$TDIR/drive.log" | head -1), drained in ${drain_elapsed}s)"
 
 say "benchmark bit-rot guard (go test -run='^$' -bench=. -benchtime=1x)"
 go test -run='^$' -bench=. -benchtime=1x .
