@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"gapbench/internal/graph"
@@ -133,11 +134,19 @@ func (i *Injector) Algorithms() kernel.Algorithms {
 	return kernel.Algorithms{}
 }
 
+// faultsMu guards the fault scan and Once consumption in match. Faults are
+// caller-owned and may be shared between injectors, and match runs on
+// sandbox goroutines — including abandoned ones that wake after the next
+// attempt has started — so the disarming writes need a lock.
+var faultsMu sync.Mutex
+
 // match returns the armed fault for (kernelName, opt), consuming Once-faults.
 func (i *Injector) match(kernelName string, opt kernel.Options) *Fault {
 	if !enabled {
 		return nil
 	}
+	faultsMu.Lock()
+	defer faultsMu.Unlock()
 	for _, f := range i.faults {
 		if f == nil || f.Kernel != kernelName {
 			continue

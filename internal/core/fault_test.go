@@ -74,6 +74,20 @@ func (hanger) TC(g *gGraph, opt kernel.Options) int64 {
 	return 0
 }
 
+// blocker ignores cancellation until release closes, then records that it
+// exited: a stuck kernel whose return the test controls without sleeping.
+type blocker struct {
+	zeroFramework
+	release <-chan struct{}
+	exited  *atomic.Bool
+}
+
+func (b blocker) TC(g *gGraph, opt kernel.Options) int64 {
+	<-b.release
+	b.exited.Store(true)
+	return 0
+}
+
 // badPreparer panics during the untimed load-time conversion.
 type badPreparer struct{ zeroFramework }
 
@@ -294,6 +308,43 @@ func TestRepeatedAbandonmentSelfHeals(t *testing.T) {
 	r.ReapAbandoned()
 	if got := r.Abandoned(); got != 0 {
 		t.Fatalf("second reap found %d machines", got)
+	}
+}
+
+// TestReapAbandonedJoinsStuckSandbox: reaping an abandoned trial must wait
+// for the sandbox goroutine still running the stuck kernel, not only for the
+// machine's (idle) workers — otherwise the kernel can outlive the reap and
+// read a graph its owner has since closed.
+func TestReapAbandonedJoinsStuckSandbox(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	in := loadSmallInput(t)
+	r := &core.Runner{
+		Trials: 1, BaselineWorkers: 2, OptimizedWorkers: 2,
+		Timeout: 20 * time.Millisecond, Grace: 20 * time.Millisecond,
+		Retry: &core.RetryPolicy{},
+	}
+	defer r.Close()
+	release := make(chan struct{})
+	var exited atomic.Bool
+	res := r.RunCell(blocker{zeroFramework{"Blocker"}, release, &exited}, core.TC, in, kernel.Baseline)
+	if res.Status != core.TimedOut || r.Abandoned() != 1 {
+		t.Fatalf("status = %v abandoned = %d, want an abandoned TimedOut", res.Status, r.Abandoned())
+	}
+
+	reaped := make(chan bool, 1)
+	go func() {
+		r.ReapAbandoned()
+		reaped <- exited.Load()
+	}()
+	select {
+	case <-reaped:
+		close(release)
+		t.Fatal("ReapAbandoned returned while the abandoned kernel was still blocked")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if !<-reaped {
+		t.Fatal("ReapAbandoned returned before the abandoned kernel exited")
 	}
 }
 

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
-	"strings"
 	"time"
 
+	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 	"gapbench/internal/tune"
@@ -133,21 +132,17 @@ func DefaultRetryPolicy() *RetryPolicy {
 	}
 }
 
-func (p *RetryPolicy) maxRetries() int {
-	if p == nil {
-		return DefaultRetryPolicy().MaxRetries
-	}
-	return p.MaxRetries
-}
-
-func (p *RetryPolicy) shouldRetry(s Status) bool {
-	if p == nil {
-		return s == Panicked || s == TimedOut
-	}
-	if p.RetryOn == nil {
+// Retry reports whether an attempt (0-based) that ended in status s earns
+// another one. A nil policy is DefaultRetryPolicy; a nil RetryOn retries
+// nothing.
+func (p *RetryPolicy) Retry(attempt int, s Status) bool {
+	if s == OK {
 		return false
 	}
-	return p.RetryOn(s)
+	if p == nil {
+		p = DefaultRetryPolicy()
+	}
+	return attempt < p.MaxRetries && p.RetryOn != nil && p.RetryOn(s)
 }
 
 // Runner executes benchmark cells under the paper's two rule sets.
@@ -196,11 +191,12 @@ type Runner struct {
 	// hyperthread count) and reused across every cell of that mode, exactly
 	// like the paper pins each rule set's thread count for a whole data set.
 	machines map[kernel.Mode]*par.Machine
-	// abandoned holds machines dropped mid-trial because a kernel ignored
-	// cancellation past the grace period. Their workers may still be running
-	// the stuck kernel, so Close must not join them; ReapAbandoned does,
-	// for callers that know the stuck kernels eventually return.
-	abandoned []*par.Machine
+	// abandoned holds the reaps of trials whose kernel ignored cancellation
+	// past the grace period. Their sandbox goroutines and machines may still
+	// be running the stuck kernel, so Close must not join them;
+	// ReapAbandoned does, for callers that know the stuck kernels
+	// eventually return.
+	abandoned []func()
 }
 
 // NewRunner returns a Runner with the defaults described on the fields.
@@ -238,27 +234,18 @@ func (r *Runner) machine(mode kernel.Mode) *par.Machine {
 	return m
 }
 
-// abandonMachine removes a poisoned machine from service: the next cell (or
-// retry) of the mode lazily builds a fresh pool, and the stuck one is parked
-// on the abandoned list so Close never blocks on it.
-func (r *Runner) abandonMachine(mode kernel.Mode, m *par.Machine) {
-	if r.machines[mode] == m {
-		delete(r.machines, mode)
-	}
-	r.abandoned = append(r.abandoned, m)
-}
-
 // Abandoned reports how many machines have been abandoned to stuck kernels
-// over the Runner's lifetime.
+// since the last ReapAbandoned.
 func (r *Runner) Abandoned() int { return len(r.abandoned) }
 
-// ReapAbandoned joins the workers of every abandoned machine and clears the
-// list. It blocks until the stuck kernels actually return, so it is only
-// safe when they eventually do (tests use it for goroutine accounting);
-// production callers normally leave abandoned machines to process exit.
+// ReapAbandoned waits for every abandoned sandbox goroutine to exit, joins
+// its machine's workers, and clears the list. It blocks until the stuck
+// kernels actually return, so it is only safe when they eventually do
+// (tests use it for goroutine accounting); production callers normally
+// leave abandoned machines to process exit.
 func (r *Runner) ReapAbandoned() {
-	for _, m := range r.abandoned {
-		m.Close()
+	for _, reap := range r.abandoned {
+		reap()
 	}
 	r.abandoned = nil
 }
@@ -300,25 +287,6 @@ func (r *Runner) options(in *Input, mode kernel.Mode) kernel.Options {
 	return opt
 }
 
-// trialOutcome is the raw result of one sandboxed attempt.
-type trialOutcome struct {
-	status  Status
-	seconds float64
-	err     string
-	stack   string
-}
-
-// trimStack keeps the head of a panic stack (the frames that identify the
-// fault) and drops the scheduler noise below.
-func trimStack(stack []byte) string {
-	lines := strings.Split(strings.TrimSpace(string(stack)), "\n")
-	const maxLines = 24
-	if len(lines) > maxLines {
-		lines = append(lines[:maxLines], "... (stack trimmed)")
-	}
-	return strings.Join(lines, "\n")
-}
-
 // checkOracle runs an oracle check under its own recover: a panic while
 // inspecting garbage kernel output is the kernel's failure, reported as a
 // verification error rather than crashing the harness.
@@ -331,39 +299,29 @@ func checkOracle(check func() error) (err error) {
 	return check()
 }
 
-// runAttempt executes one sandboxed trial attempt: the kernel call runs on
-// its own goroutine under recover with a per-attempt cancellation token
-// installed on both the kernel options and the mode's machine. If a deadline
-// is set and the kernel ignores the fired token past the grace period, the
-// machine is abandoned and the attempt reports TimedOut — the runner never
+// runAttempt executes one trial attempt in the Sandbox, with a per-attempt
+// cancellation token installed on both the kernel options and the mode's
+// machine, then verifies an OK result against the oracle (untimed, outside
+// the deadline). A kernel that ignores its fired token past the grace
+// period costs the mode its machine and reports TimedOut — the runner never
 // blocks on a stuck kernel.
-func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode, trial int) trialOutcome {
+func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode, trial int) Outcome {
 	opt := r.options(in, mode)
-	m := opt.Machine
-	var tok *par.CancelToken
+	var deadline time.Time
 	if r.Timeout > 0 {
-		tok = par.NewDeadlineToken(r.Timeout)
+		opt.Cancel = par.NewDeadlineToken(r.Timeout)
+		deadline = time.Now().Add(r.Timeout)
 	} else {
-		tok = par.NewCancelToken()
+		opt.Cancel = par.NewCancelToken()
 	}
-	opt.Cancel = tok
-	m.SetCancel(tok)
-
-	g := in.Graph
 	cellName := fmt.Sprintf("%s %s on %s", f.Name(), k, in.Spec.Name)
-	done := make(chan trialOutcome, 1) // buffered: an abandoned sandbox still exits
-	go func() {
-		out := trialOutcome{status: OK}
-		defer func() {
-			if p := recover(); p != nil {
-				out.status = Panicked
-				out.err = fmt.Sprintf("%s: panic: %v", cellName, p)
-				out.stack = trimStack(debug.Stack())
-			}
-			done <- out
-		}()
-		var check func() error
-		start := time.Now()
+	g := in.Graph
+	var check func() error
+	out, reap := Sandbox{
+		Name: cellName, Machine: opt.Machine, Cancel: opt.Cancel,
+		Deadline: deadline, Grace: r.grace(),
+		Seals: []*graph.Graph{g, in.Undirected, in.Relabeled},
+	}.Run(func() {
 		switch k {
 		case BFS:
 			src := in.Sources[trial%len(in.Sources)]
@@ -387,77 +345,31 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel
 			count := f.TC(g, opt)
 			check = func() error { return verify.CheckTC(in.Undirected, count) }
 		}
-		out.seconds = time.Since(start).Seconds()
-		// graphguard (no-op unless built with -tags=graphguard): the shared
-		// CSR must be byte-identical after every trial. A mutation panics
-		// here, inside the sandbox, so it surfaces as a Panicked record
-		// naming the corrupted array instead of as a wrong result.
-		in.Graph.MustCheckSeal()
-		in.Undirected.MustCheckSeal()
-		in.Relabeled.MustCheckSeal()
-		if tok.Cancelled() {
-			// The kernel returned, but only because the deadline fired; its
-			// partial output is discarded unverified.
-			out.status = TimedOut
-			out.err = fmt.Sprintf("%s: deadline (%v) exceeded", cellName, r.Timeout)
-			return
-		}
-		if r.Verify {
-			if err := checkOracle(check); err != nil {
-				out.status = VerifyFailed
-				out.err = fmt.Sprintf("%s: %v", cellName, err)
-			}
-		}
-	}()
-
-	if r.Timeout <= 0 {
-		out := <-done
-		m.SetCancel(nil)
-		return out
+	})
+	if reap != nil {
+		// Take the poisoned machine out of service (the next cell or retry
+		// of the mode lazily builds a fresh one) and park its reap where
+		// Close never blocks on it.
+		delete(r.machines, mode)
+		r.abandoned = append(r.abandoned, reap)
 	}
-	select {
-	case out := <-done:
-		m.SetCancel(nil)
-		return out
-	case <-time.After(r.Timeout):
-		tok.Cancel() // idempotent with the deadline; makes the intent explicit
-		select {
-		case out := <-done:
-			m.SetCancel(nil)
-			return out
-		case <-time.After(r.grace()):
-			// The kernel is ignoring the token. Abandon its machine — the
-			// sandbox goroutine and any workers stuck in the kernel keep the
-			// old pool; the next attempt/cell gets a fresh one. The token
-			// stays installed so the stray kernel's future regions still
-			// drain fast if it ever starts polling.
-			r.abandonMachine(mode, m)
-			return trialOutcome{
-				status: TimedOut,
-				err: fmt.Sprintf("%s: kernel ignored cancellation for %v past the %v deadline; machine abandoned",
-					cellName, r.grace(), r.Timeout),
-			}
+	if out.Status == OK && r.Verify {
+		if err := checkOracle(check); err != nil {
+			out.Status = VerifyFailed
+			out.Err = fmt.Sprintf("%s: %v", cellName, err)
 		}
 	}
+	return out
 }
 
-// prepare runs a framework's untimed load-time conversion under recover, so
+// prepare runs a framework's untimed load-time conversion under Guard, so
 // a panicking Prepare fails its cell instead of the suite.
-func prepare(f kernel.Framework, in *Input) (out trialOutcome) {
-	out = trialOutcome{status: OK}
+func prepare(f kernel.Framework, in *Input) Outcome {
 	p, ok := f.(kernel.Preparer)
 	if !ok {
-		return out
+		return Outcome{Status: OK}
 	}
-	defer func() {
-		if pv := recover(); pv != nil {
-			out.status = Panicked
-			out.err = fmt.Sprintf("%s: panic in Prepare(%s): %v", f.Name(), in.Spec.Name, pv)
-			out.stack = trimStack(debug.Stack())
-		}
-	}()
-	p.Prepare(in.Graph, in.Undirected)
-	return out
+	return Guard(fmt.Sprintf("%s Prepare(%s)", f.Name(), in.Spec.Name), func() { p.Prepare(in.Graph, in.Undirected) })
 }
 
 // RunCell times one (framework, kernel, input, mode) cell. Every trial is
@@ -489,10 +401,10 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		return res
 	}
 
-	if out := prepare(f, in); out.status != OK {
-		res.Status = out.status
+	if out := prepare(f, in); out.Status != OK {
+		res.Status = out.Status
 		res.Verified = false
-		res.Err = out.err
+		res.Err = out.Err
 		for t := 0; t < trials; t++ {
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{Trial: t, Status: Skipped})
 		}
@@ -521,27 +433,27 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{Trial: t, Status: Skipped})
 			continue
 		}
-		var out trialOutcome
+		var out Outcome
 		for attempt := 0; ; attempt++ {
 			out = r.runAttempt(f, k, in, mode, t)
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{
 				Trial: t, Attempt: attempt,
-				Status: out.status, Seconds: out.seconds,
-				Err: out.err, Stack: out.stack,
+				Status: out.Status, Seconds: out.Seconds,
+				Err: out.Err, Stack: out.Stack,
 			})
-			if out.status == OK || attempt >= r.Retry.maxRetries() || !r.Retry.shouldRetry(out.status) {
+			if !r.Retry.Retry(attempt, out.Status) {
 				break
 			}
 			res.Retries++
 		}
-		if out.status == OK {
-			record(out.seconds)
+		if out.Status == OK {
+			record(out.Seconds)
 		} else {
 			failed = true
 			if res.Status == OK {
-				res.Status = out.status
+				res.Status = out.Status
 				res.Verified = false
-				res.Err = out.err
+				res.Err = out.Err
 			}
 		}
 	}

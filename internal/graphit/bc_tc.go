@@ -3,6 +3,7 @@ package graphit
 import (
 	"sync/atomic"
 
+	"gapbench/internal/frontier"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
@@ -37,16 +38,16 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched Schedul
 		depth[src] = 0
 		sigma[src] = 1
 
-		// Forward: rounds of edgeset-apply keeping one VertexSet per level.
-		var levels []*VertexSet
-		frontier := FromList(int64(n), []graph.NodeID{src})
+		// Forward: rounds of edgeset-apply keeping one vertex set per level.
+		var levels []*frontier.Set
+		front := frontier.FromList(int64(n), []graph.NodeID{src})
 		if sched.Frontier == Bitvector {
-			frontier = frontier.ToBitmap(exec, workers)
+			front = front.ToBitmap(exec, workers)
 		}
-		levels = append(levels, frontier)
-		for frontier.Size() > 0 {
+		levels = append(levels, front)
+		for front.Size() > 0 {
 			d := int32(len(levels))
-			next := EdgesetApplyPush(exec, g, frontier, sched.Frontier, workers, func(u, v graph.NodeID) bool {
+			next := frontier.Push(exec, g, front, sched.Frontier, workers, func(u, v graph.NodeID) bool {
 				return atomic.LoadInt32(&depth[v]) < 0 &&
 					atomic.CompareAndSwapInt32(&depth[v], -1, d)
 			})
@@ -54,7 +55,7 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched Schedul
 				break
 			}
 			levels = append(levels, next)
-			frontier = next
+			front = next
 		}
 
 		// Path counts per level (pull from parents over in-edges).

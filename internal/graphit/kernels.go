@@ -24,7 +24,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched Schedule, wo
 		return parent
 	}
 	parent[src] = src
-	front := FromList(n, []graph.NodeID{src})
+	front := frontier.FromList(n, []graph.NodeID{src})
 	disp := frontier.NewDispatcher(n, g.NumEdges(), g.OutDegree(src))
 	// One scout accumulator for the whole search: the apply closure captures
 	// the pointer by value, so no per-round heap cell is allocated.
@@ -44,7 +44,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched Schedule, wo
 					return parent
 				}
 				prev := awake
-				next := EdgesetApplyPull(exec, g, cur, workers,
+				next := frontier.Pull(exec, g, cur, workers,
 					//gapvet:ignore atomic-plain-mix -- pull phase: each v writes only parent[v]; barrier-separated from the push phase's CAS
 					func(v graph.NodeID) bool { return parent[v] < 0 },
 					func(u, v graph.NodeID) bool { parent[v] = u; return true })
@@ -59,7 +59,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched Schedule, wo
 		} else {
 			disp.BeginPush()
 			newScout.Store(0)
-			front = EdgesetApplyPush(exec, g, front, sched.Frontier, workers, func(u, v graph.NodeID) bool {
+			front = frontier.Push(exec, g, front, sched.Frontier, workers, func(u, v graph.NodeID) bool {
 				if atomic.LoadInt32(&parent[v]) < 0 &&
 					atomic.CompareAndSwapInt32(&parent[v], -1, u) {
 					newScout.Add(g.OutDegree(v))

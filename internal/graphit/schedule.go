@@ -1,7 +1,7 @@
 // Package graphit reproduces the GraphIt DSL the paper evaluates. GraphIt
 // separates what an algorithm computes from how it is executed; here the
-// "what" is written against the shared frontier library (internal/frontier,
-// consumed via thin shims in engine.go) and the "how" is a Schedule value —
+// "what" is written directly against the shared frontier library
+// (internal/frontier) and the "how" is a Schedule value —
 // direction choice, frontier layout, bucket fusion, cache tiling — selected
 // per kernel by a heuristic autotuner in Baseline mode and by per-graph
 // specialization tables (or a persisted `gapbench -tune` result) in

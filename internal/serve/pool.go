@@ -48,10 +48,10 @@ type Pool struct {
 
 	outstanding atomic.Int64 // leases currently held
 	abandoned   atomic.Int64 // lifetime abandonments
-	// reapers tracks the goroutines joining abandoned machines: each one
-	// blocks in Machine.Close until the stuck kernel finally returns, so
-	// the pool's drain can prove no worker goroutine outlives it (when the
-	// stuck kernels are bounded, as chaos faults are).
+	// reapers tracks the goroutines joining abandoned runs: each one blocks
+	// until the stuck sandbox goroutine exits and its machine's workers are
+	// joined, so the pool's drain can prove nothing of an abandoned run
+	// outlives it (when the stuck kernels are bounded, as chaos faults are).
 	reapers  sync.WaitGroup
 	draining atomic.Bool
 }
@@ -143,20 +143,21 @@ func (l *Lease) Release() {
 
 // Abandon drops a machine whose kernel ignored cancellation past the grace
 // period: a replacement machine enters the idle set immediately (other
-// tenants never see a shrunken pool), and a reaper goroutine joins the stuck
-// machine's workers whenever the kernel finally returns. The stuck kernel
-// keeps the old machine's token installed, so its future regions still drain
-// fast if it ever starts polling.
-func (l *Lease) Abandon() {
+// tenants never see a shrunken pool), and a reaper goroutine runs reap —
+// the sandbox's join, which waits for the abandoned sandbox goroutine to
+// exit and then closes the stuck machine — so Drain cannot return while the
+// stuck kernel can still touch the graph. The stuck kernel keeps the old
+// machine's token installed, so its future regions still drain fast if it
+// ever starts polling.
+func (l *Lease) Abandon(reap func()) {
 	if !l.settled.CompareAndSwap(false, true) {
 		panic("serve: lease settled twice (Abandon after Release/Abandon)")
 	}
 	l.p.abandoned.Add(1)
-	m := l.m
 	l.p.reapers.Add(1)
 	go func() {
 		defer l.p.reapers.Done()
-		m.Close()
+		reap()
 	}()
 	if !l.p.draining.Load() {
 		select {

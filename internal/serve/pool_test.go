@@ -84,7 +84,7 @@ func TestPoolAbandonSelfHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Abandon()
+	l.Abandon(l.Machine().Close)
 	if got := p.Abandoned(); got != 1 {
 		t.Errorf("Abandoned = %d, want 1", got)
 	}

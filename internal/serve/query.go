@@ -11,7 +11,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime/debug"
 	"strings"
 	"time"
 
@@ -34,6 +33,12 @@ type queryPlan struct {
 	topk   int
 	budget time.Duration
 	seed   uint64 // per-query jitter stream
+}
+
+// name identifies the query in messages, like a suite cell ("GAP BFS on
+// Kron").
+func (p *queryPlan) name() string {
+	return p.fwName + " " + string(p.k) + " on " + p.in.Spec.Name
 }
 
 // servedKernels are the query kernels gapd exposes: the point-query shapes
@@ -177,14 +182,11 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 	return resp
 }
 
-// attemptOut is the raw result of one sandboxed attempt, in the suite's
-// Status taxonomy.
+// attemptOut is the result of one sandboxed attempt: the suite's Outcome
+// plus, for an OK attempt, what the kernel answered.
 type attemptOut struct {
-	status  core.Status
-	seconds float64
-	err     string
-	stack   string
-	result  *QueryResult
+	core.Outcome
+	result *QueryResult
 	// build verifies a PR/CC run's full output and makes its snapshot; it
 	// runs after the attempt, outside the budget (see verifyBuild).
 	build func() (*snapshot, error)
@@ -226,17 +228,18 @@ func (s *Server) hit(p *queryPlan, sn *snapshot) Response {
 
 // serveHit runs the hit's checks and reduction, recording a panic from any
 // of them as the query's error.
-func serveHit(p *queryPlan, sn *snapshot) (res *QueryResult, errMsg string) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			res = nil
-			errMsg = fmt.Sprintf("%s %s on %s: cached answer: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
-		}
-	}()
-	p.in.Graph.MustCheckSeal()
-	p.in.Undirected.MustCheckSeal()
-	snapshotCheck(sn)
-	return sn.answer(p), ""
+func serveHit(p *queryPlan, sn *snapshot) (*QueryResult, string) {
+	var res *QueryResult
+	out := core.Guard(p.name()+": cached answer", func() {
+		p.in.Graph.MustCheckSeal()
+		p.in.Undirected.MustCheckSeal()
+		snapshotCheck(sn)
+		res = sn.answer(p)
+	})
+	if out.Status != core.OK {
+		return nil, out.Err
+	}
+	return res, ""
 }
 
 // execute runs the retry loop under the query's deadline budget, publishing
@@ -252,7 +255,6 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 	var records []core.TrialRecord
 	var out attemptOut
 	retries := 0
-	policy := s.cfg.Retry.policy()
 	for attempt := 0; ; attempt++ {
 		var abandoned bool
 		var err error
@@ -279,25 +281,25 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 		}
 		records = append(records, core.TrialRecord{
 			Trial: 0, Attempt: attempt,
-			Status: out.status, Seconds: out.seconds,
-			Err: out.err, Stack: out.stack,
+			Status: out.Status, Seconds: out.Seconds,
+			Err: out.Err, Stack: out.Stack,
 		})
 		if abandoned {
 			s.breakers.OnAbandon(p.fwName, string(p.k), probe)
 		}
-		if out.status == core.OK {
+		if out.Status == core.OK {
 			s.breakers.OnSuccess(p.fwName, string(p.k), probe)
 			break
 		}
 		if !abandoned {
 			s.breakers.OnFailure(p.fwName, string(p.k), probe)
 		}
-		if attempt >= policy.MaxRetries || policy.RetryOn == nil || !policy.RetryOn(out.status) {
+		if !s.cfg.Retry.policy().Retry(attempt, out.Status) {
 			break
 		}
 		// Backoff before the retry, bounded by the remaining budget; a fired
 		// token (budget gone, client gone) ends the query instead.
-		d := s.cfg.Retry.backoff(retries, p.seed)
+		d := backoff(retries, p.seed)
 		if time.Until(deadline) <= d || !sleepInterruptible(d, qTok) {
 			break
 		}
@@ -305,8 +307,8 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 		s.c.retries.Add(1)
 	}
 
-	s.journalQuery(p, records, out.status, retries, out.err)
-	switch out.status {
+	s.journalQuery(p, records, out.Status, retries, out.Err)
+	switch out.Status {
 	case core.OK:
 		if out.snap != nil {
 			s.snaps.publish(p.snapKey(), out.snap)
@@ -314,110 +316,62 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 		}
 		s.c.ok.Add(1)
 		return Response{Code: CodeOK, Retries: retries, Result: out.result,
-			KernelMicros: int64(out.seconds * 1e6)}
+			KernelMicros: int64(out.Seconds * 1e6)}
 	case core.TimedOut:
 		s.c.timeouts.Add(1)
-		return Response{Code: CodeDeadlineExceeded, Error: out.err, Retries: retries}
+		return Response{Code: CodeDeadlineExceeded, Error: out.Err, Retries: retries}
 	case core.VerifyFailed:
 		s.c.verifyFailed.Add(1)
-		return Response{Code: CodeInternal, Error: out.err, Retries: retries}
+		return Response{Code: CodeInternal, Error: out.Err, Retries: retries}
 	default: // Panicked
 		s.c.panics.Add(1)
-		return Response{Code: CodeInternal, Error: out.err, Retries: retries}
+		return Response{Code: CodeInternal, Error: out.Err, Retries: retries}
 	}
 }
 
-// attempt runs one sandboxed kernel attempt on a leased machine. The lease is
-// settled on every path — Release normally, Abandon when the kernel ignored
-// its fired token past the grace period — via the deferred closure the gapvet
-// lease-return rule checks for. The bool reports abandonment; a non-nil error
-// means no lease was obtained (pool draining, budget gone while queued).
+// attempt runs one kernel attempt on a leased machine in the core Sandbox.
+// The lease is settled on every path — Release normally, Abandon (handing
+// the pool the sandbox's reap) when the kernel ignored its fired token past
+// the grace period — via the deferred closure the gapvet lease-return rule
+// checks for. The bool reports abandonment; a non-nil error means no lease
+// was obtained (pool draining, budget gone while queued).
 func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time) (attemptOut, bool, error) {
 	lease, err := s.pool.Acquire(tok)
 	if err != nil {
 		return attemptOut{}, false, err
 	}
-	abandoned := false
+	var reap func()
 	defer func() {
-		if abandoned {
-			lease.Abandon()
+		if reap != nil {
+			lease.Abandon(reap)
 		} else {
 			lease.Release()
 		}
 	}()
 
-	m := lease.Machine()
-	m.SetCancel(tok)
 	opt := kernel.Options{
 		Workers:        s.pool.Workers(),
 		Mode:           kernel.Baseline,
 		Delta:          p.in.Spec.Delta,
-		Machine:        m,
+		Machine:        lease.Machine(),
 		Cancel:         tok,
 		UndirectedView: p.in.Undirected,
 	}
-
-	// Capture the graph views before the sandbox starts: an abandoned
-	// sandbox may wake long after this query (and even the Input) is gone,
-	// and must not re-read Input fields concurrently with a Close.
+	// The graph views are read here, not in the body: an abandoned sandbox
+	// may wake long after this query (and even the Input) is gone.
 	g, und := p.in.Graph, p.in.Undirected
-	done := make(chan attemptOut, 1) // buffered: an abandoned sandbox still exits
-	go func() {
-		out := attemptOut{status: core.OK}
-		defer func() {
-			if pv := recover(); pv != nil {
-				out.status = core.Panicked
-				out.err = fmt.Sprintf("%s %s on %s: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
-				out.stack = trimStack(debug.Stack())
-				out.result, out.build = nil, nil
-			}
-			done <- out
-		}()
-		start := time.Now()
-		out.result, out.build = runKernel(p, g, opt)
-		out.seconds = time.Since(start).Seconds()
-		// graphguard (armed under -tags=graphguard): the shared CSRs must
-		// survive every query byte-identical — one corrupting kernel must not
-		// poison answers for every later client. A mutation panics here,
-		// inside the sandbox, as a Panicked attempt naming the array.
-		g.MustCheckSeal()
-		und.MustCheckSeal()
-		if tok.Cancelled() {
-			out.status = core.TimedOut
-			out.err = fmt.Sprintf("%s %s on %s: deadline budget (%v) exceeded", p.fwName, p.k, p.in.Spec.Name, p.budget)
-			out.result, out.build = nil, nil
-		}
-	}()
-
-	remaining := time.Until(deadline)
-	if remaining < 0 {
-		remaining = 0
+	var result *QueryResult
+	var build func() (*snapshot, error)
+	var out attemptOut
+	out.Outcome, reap = core.Sandbox{
+		Name: p.name(), Machine: opt.Machine, Cancel: tok,
+		Deadline: deadline, Grace: s.cfg.grace(),
+		Seals: []*graph.Graph{g, und},
+	}.Run(func() { result, build = runKernel(p, g, opt) })
+	if out.Status == core.OK {
+		out.result, out.build = result, build
 	}
-	expire := time.NewTimer(remaining)
-	defer expire.Stop()
-	select {
-	case out := <-done:
-		return out, false, nil
-	case <-expire.C:
-		tok.Cancel() // idempotent with the deadline; also covers clock skew on the chained token
-		grace := time.NewTimer(s.cfg.grace())
-		defer grace.Stop()
-		select {
-		case out := <-done:
-			return out, false, nil
-		case <-grace.C:
-			// The kernel is ignoring the token: give up the machine. The
-			// sandbox goroutine keeps the stuck machine (token installed, so
-			// it still drains fast if the kernel ever polls) and the pool
-			// self-heals with a replacement.
-			abandoned = true
-			return attemptOut{
-				status: core.TimedOut,
-				err: fmt.Sprintf("%s %s on %s: kernel ignored cancellation for %v past the %v budget; machine abandoned",
-					p.fwName, p.k, p.in.Spec.Name, s.cfg.grace(), p.budget),
-			}, true, nil
-		}
-	}
+	return out, reap != nil, nil
 }
 
 // verifyBuild runs a successful PR/CC attempt's build: verify the full
@@ -429,34 +383,24 @@ func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time)
 // time out the run that would publish. A panic (reducing garbage output)
 // is the kernel's fault and is recorded like one inside the sandbox.
 func verifyBuild(p *queryPlan, out *attemptOut) {
-	build := out.build
-	out.build = nil
-	defer func() {
-		if pv := recover(); pv != nil {
-			out.status = core.Panicked
-			out.err = fmt.Sprintf("%s %s on %s: verifying output: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
-			out.stack = trimStack(debug.Stack())
-			out.result, out.snap = nil, nil
+	var sn *snapshot
+	var err error
+	guarded := core.Guard(p.name()+": verifying output", func() {
+		if sn, err = out.build(); err == nil {
+			out.result = sn.answer(p)
 		}
-	}()
-	sn, err := build()
-	if err != nil {
-		out.status = core.VerifyFailed
-		out.err = fmt.Sprintf("%s %s on %s: output failed verification: %v", p.fwName, p.k, p.in.Spec.Name, err)
-		return
+	})
+	out.build = nil
+	switch {
+	case guarded.Status != core.OK:
+		out.Status, out.Err, out.Stack = guarded.Status, guarded.Err, guarded.Stack
+		out.result = nil
+	case err != nil:
+		out.Status = core.VerifyFailed
+		out.Err = fmt.Sprintf("%s: output failed verification: %v", p.name(), err)
+	default:
+		out.snap = sn
 	}
-	out.snap, out.result = sn, sn.answer(p)
-}
-
-// trimStack keeps the frames that identify a panic and drops scheduler noise
-// (same convention as the suite runner's trial records).
-func trimStack(stack []byte) string {
-	lines := strings.Split(strings.TrimSpace(string(stack)), "\n")
-	const maxLines = 24
-	if len(lines) > maxLines {
-		lines = append(lines[:maxLines], "... (stack trimmed)")
-	}
-	return strings.Join(lines, "\n")
 }
 
 // runKernel dispatches the planned kernel. BFS and SSSP reduce their full

@@ -9,7 +9,7 @@ package serve
 // deadline), so re-running could only time out again.
 //
 // Between attempts the query backs off exponentially with deterministic
-// jitter: base*2^attempt capped at BackoffCap, then jittered into
+// jitter: backoffBase*2^retry capped at backoffCap, then jittered into
 // [d/2, d) by a splitmix64 stream seeded from the server seed and the query
 // id. Deterministic jitter keeps chaos tests reproducible while still
 // decorrelating the retry storms of concurrent queries (each query id lands
@@ -22,67 +22,47 @@ import (
 )
 
 // RetryConfig tunes attempt retries. The zero value uses the serving
-// defaults described on the fields.
+// default described on the field.
 type RetryConfig struct {
 	// Policy decides which attempt statuses are retried and how many times.
 	// Nil means the serving default: one retry, Panicked only.
 	Policy *core.RetryPolicy
-	// BackoffBase is the pre-jitter delay before the first retry; each
-	// further retry doubles it. Default 10ms.
-	BackoffBase time.Duration
-	// BackoffCap bounds the pre-jitter delay. Default 250ms.
-	BackoffCap time.Duration
 }
 
-// serveRetryPolicy is the default Policy: Panicked is possibly transient and
-// worth one more attempt; everything else is deterministic or budget-bound.
-func serveRetryPolicy() *core.RetryPolicy {
-	return &core.RetryPolicy{
-		MaxRetries: 1,
-		RetryOn:    func(s core.Status) bool { return s == core.Panicked },
-	}
-}
+// Backoff bounds: the pre-jitter delay before the first retry, doubled for
+// each further retry up to the cap.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffCap  = 250 * time.Millisecond
+)
+
+// RetryPanicked is the serving retry predicate: Panicked is possibly
+// transient and worth another attempt; everything else is deterministic or
+// budget-bound.
+func RetryPanicked(s core.Status) bool { return s == core.Panicked }
 
 func (c RetryConfig) policy() *core.RetryPolicy {
 	if c.Policy != nil {
 		return c.Policy
 	}
-	return serveRetryPolicy()
-}
-
-func (c RetryConfig) base() time.Duration {
-	if c.BackoffBase > 0 {
-		return c.BackoffBase
-	}
-	return 10 * time.Millisecond
-}
-
-func (c RetryConfig) cap() time.Duration {
-	if c.BackoffCap > 0 {
-		return c.BackoffCap
-	}
-	return 250 * time.Millisecond
+	return &core.RetryPolicy{MaxRetries: 1, RetryOn: RetryPanicked}
 }
 
 // backoff computes the jittered delay before retry number retry (0-based:
 // the delay between attempt 0 and attempt 1 is retry 0). seed individualizes
 // the jitter stream per query.
-func (c RetryConfig) backoff(retry int, seed uint64) time.Duration {
-	d := c.base()
-	limit := c.cap()
-	for i := 0; i < retry && d < limit; i++ {
+func backoff(retry int, seed uint64) time.Duration {
+	d := backoffBase
+	for i := 0; i < retry && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > limit {
-		d = limit
+	if d > backoffCap {
+		d = backoffCap
 	}
 	// Jitter into [d/2, d): full-window jitter would let a retry fire
 	// immediately (no backoff at all); half-window keeps a floor while still
 	// spreading concurrent retries.
 	half := int64(d) / 2
-	if half <= 0 {
-		return d
-	}
 	j := splitmix64(seed + uint64(retry))
 	return time.Duration(half + int64(j%uint64(half)))
 }

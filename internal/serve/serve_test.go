@@ -96,6 +96,20 @@ func (f hangBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []gra
 	return f.stubFramework.BFS(g, src, opt)
 }
 
+// blockBFS ignores the token until release closes, then records that it
+// exited: a hung kernel whose return the test controls without sleeping.
+type blockBFS struct {
+	stubFramework
+	release <-chan struct{}
+	exited  *atomic.Bool
+}
+
+func (f blockBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
+	<-f.release
+	f.exited.Store(true)
+	return f.stubFramework.BFS(g, src, opt)
+}
+
 // recoveringBFS hangs for its first N calls, then behaves — the quarantine-
 // then-probe-then-close path of the circuit breaker.
 type recoveringBFS struct {
@@ -345,6 +359,42 @@ func TestServeHangAbandonsAndSelfHeals(t *testing.T) {
 	// Drain joins the reaper (the hang is bounded), so no goroutine leaks.
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestServeShutdownJoinsAbandonedSandbox: a drain must wait for the
+// abandoned sandbox goroutine itself, not only for its machine's workers —
+// the sandbox seal-checks the graph when its kernel finally returns, and
+// the graph may be closed as soon as Shutdown returns.
+func TestServeShutdownJoinsAbandonedSandbox(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	in := smallInput(t)
+	release := make(chan struct{})
+	var exited atomic.Bool
+	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, Grace: 20 * time.Millisecond}, in,
+		blockBFS{stubFramework{"Stub"}, release, &exited})
+	c := dial(t, sock)
+
+	resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 20})
+	if resp.Code != CodeDeadlineExceeded || !strings.Contains(resp.Error, "abandoned") {
+		t.Fatalf("blocked query: %+v", resp)
+	}
+	drained := make(chan bool, 1)
+	go func() {
+		if err := srv.Shutdown(5 * time.Second); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		drained <- exited.Load()
+	}()
+	select {
+	case <-drained:
+		close(release)
+		t.Fatal("Shutdown returned while the abandoned kernel was still blocked")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if !<-drained {
+		t.Fatal("Shutdown returned before the abandoned sandbox exited")
 	}
 }
 

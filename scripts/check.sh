@@ -37,11 +37,13 @@
 #      the suite, its journal, and its resume path keep working. A second
 #      pass with both chaos and graphguard armed closes the loop: the
 #      CorruptGraph fault must be caught by the seal check as Panicked.
-#  10. go test -tags='chaos graphguard servecheck' <serve> the serving-layer
-#      fault tier: the gapd daemon machinery (internal/serve) re-run with
-#      the chaos injector, graph seal checks, and the lease-leak assertion
-#      all armed — injected panics/stalls/hangs/corruption against a live
-#      server must shed, retry, quarantine, and drain clean (DESIGN.md §11).
+#  10. go test -race -tags='chaos graphguard servecheck' <serve> the
+#      serving-layer fault tier: the gapd daemon machinery (internal/serve)
+#      re-run under the race detector with the chaos injector, graph seal
+#      checks, and the lease-leak assertion all armed — injected
+#      panics/stalls/hangs/corruption against a live server must shed,
+#      retry, quarantine, and drain clean, and an abandoned sandbox must be
+#      joined before the drain returns (DESIGN.md §11).
 #  11. graphgen + gapbench graph-store e2e tier: generate the five suite
 #      graphs once as format-v2 .sg files, then run a gapbench smoke over
 #      them via -graphfile, so the whole serialize -> mmap-load -> provenance
@@ -117,8 +119,8 @@ go test -tags=chaos -short ./internal/core/ ./internal/chaos/
 say "chaos+graphguard tier (go test -tags='chaos graphguard' -short)"
 go test -tags='chaos graphguard' -short ./internal/core/
 
-say "serving-layer fault tier (go test -tags='chaos graphguard servecheck' -short)"
-go test -tags='chaos graphguard servecheck' -short ./internal/serve/
+say "serving-layer fault tier (go test -race -tags='chaos graphguard servecheck' -short)"
+go test -race -tags='chaos graphguard servecheck' -short ./internal/serve/
 
 say "graph-store e2e tier (graphgen once, gapbench mmap smoke)"
 GDIR="$(mktemp -d)"
